@@ -255,10 +255,15 @@
 //
 // Catalogued datasets are appendable: POST /v1/datasets/{name}/append takes
 // a FIMI delta, validates it against the store's limits, and installs a
-// delta-maintained generation — the count vector, presence bitset, min/max
-// sketches and zone sketches are all extended from the delta alone, so the
-// append cost is independent of how many records are already resident and
-// the dataset's count_scans counter stays at 1. Admitted appends are
+// delta-maintained generation. Records live in fixed pages of 2048 (one zone
+// block each); the new generation shares every full page with the old one
+// and copies only the page directory and the partial tail page. The count
+// column and presence bitset are copied once — the one O(items) step, since
+// readers need a flat column — and then only the items the delta touches are
+// updated, along with the min/max sketches and the zone sketches. The append
+// cost is therefore independent of how many records are already resident
+// (TestPrepareAppendBytesIndependentOfResidentRecords pins it) and the
+// dataset's count_scans counter stays at 1. Admitted appends are
 // journalled before they are applied; recovery replays the registration
 // image and then each delta in order. Ordering is per dataset: each
 // dataset's appends serialize on its write domain and carry a 1-based

@@ -7,19 +7,30 @@ import (
 	"github.com/freegap/freegap/internal/rng"
 )
 
+// PageSize is the number of records per page of a Transactions. The store's
+// zone blocks are one page each.
+const PageSize = 2048
+
 // Transactions is a transaction database: each element is one record, the set
 // of item identifiers that appear in that record. Item identifiers are small
 // non-negative integers; duplicates within a record are ignored by the
 // counting logic.
+//
+// Records are held in pages of PageSize records. Every page but the last is
+// full, and no page is written after the database that holds it is built, so
+// appended generations share their prefix pages with the database they extend
+// (see AppendRecords).
 type Transactions struct {
 	name    string
-	records [][]int32
+	pages   [][][]int32
+	records int
 	items   int // number of distinct item ids, i.e. max id + 1
 }
 
 // New builds a Transactions database from raw records. The number of distinct
 // items is inferred from the largest item id present. The name is carried
-// through to reports and tables.
+// through to reports and tables. The pages are sliced out of records without
+// copying, so the caller must not modify records afterwards.
 func New(name string, records [][]int32) *Transactions {
 	maxItem := int32(-1)
 	for _, r := range records {
@@ -32,7 +43,14 @@ func New(name string, records [][]int32) *Transactions {
 			}
 		}
 	}
-	return &Transactions{name: name, records: records, items: int(maxItem) + 1}
+	pages := make([][][]int32, 0, (len(records)+PageSize-1)/PageSize)
+	for lo := 0; lo < len(records); lo += PageSize {
+		hi := min(lo+PageSize, len(records))
+		// The capacity is capped so no append through a page can reach the
+		// caller's records beyond it.
+		pages = append(pages, records[lo:hi:hi])
+	}
+	return &Transactions{name: name, pages: pages, records: len(records), items: int(maxItem) + 1}
 }
 
 // WithUniverse returns a view of the database whose item universe is padded
@@ -46,29 +64,41 @@ func (t *Transactions) WithUniverse(items int) *Transactions {
 	if items <= t.items {
 		return t
 	}
-	return &Transactions{name: t.name, records: t.records, items: items}
+	cp := *t
+	cp.items = items
+	return &cp
 }
 
 // Name returns the dataset's display name.
 func (t *Transactions) Name() string { return t.name }
 
 // NumRecords returns the number of transactions.
-func (t *Transactions) NumRecords() int { return len(t.records) }
+func (t *Transactions) NumRecords() int { return t.records }
 
 // NumItems returns the number of distinct item identifiers (max id + 1).
 func (t *Transactions) NumItems() int { return t.items }
 
 // Record returns the i-th transaction. The returned slice must not be
 // modified.
-func (t *Transactions) Record(i int) []int32 { return t.records[i] }
+func (t *Transactions) Record(i int) []int32 { return t.pages[i/PageSize][i%PageSize] }
+
+// Span returns the records [lo, min(hi, end of lo's page)): the longest run
+// starting at lo that is stored contiguously. Scans walk a range span by span
+// instead of calling Record per record. It requires 0 <= lo < hi <=
+// NumRecords; the returned slice must not be modified.
+func (t *Transactions) Span(lo, hi int) [][]int32 {
+	page := t.pages[lo/PageSize]
+	off := lo % PageSize
+	return page[off:min(len(page), off+hi-lo)]
+}
 
 // MeanLength returns the average number of (possibly repeated) items per
 // transaction.
 func (t *Transactions) MeanLength() float64 {
-	if len(t.records) == 0 {
+	if t.records == 0 {
 		return 0
 	}
-	return float64(t.TotalLength()) / float64(len(t.records))
+	return float64(t.TotalLength()) / float64(t.records)
 }
 
 // TotalLength returns the total number of item slots across every record
@@ -76,8 +106,10 @@ func (t *Transactions) MeanLength() float64 {
 // append agrees bit-for-bit with a full recompute.
 func (t *Transactions) TotalLength() int {
 	total := 0
-	for _, r := range t.records {
-		total += len(r)
+	for _, page := range t.pages {
+		for _, r := range page {
+			total += len(r)
+		}
 	}
 	return total
 }
@@ -88,13 +120,16 @@ func (t *Transactions) TotalLength() int {
 // transaction changes each count by at most 1.
 func (t *Transactions) ItemCounts() []float64 {
 	counts := make([]float64, t.items)
-	seen := make([]int, t.items) // record index+1 of last sighting, avoids clearing a bool slice per record
-	for ri, r := range t.records {
-		stamp := ri + 1
-		for _, it := range r {
-			if seen[it] != stamp {
-				seen[it] = stamp
-				counts[it]++
+	seen := make([]int, t.items) // stamp of the last record that held the item, avoids clearing a bool slice per record
+	stamp := 0
+	for _, page := range t.pages {
+		for _, r := range page {
+			stamp++
+			for _, it := range r {
+				if seen[it] != stamp {
+					seen[it] = stamp
+					counts[it]++
+				}
 			}
 		}
 	}
@@ -130,41 +165,34 @@ func (s Stats) String() string {
 // notion of adjacency used by the paper's privacy proofs and by the empirical
 // privacy audit in internal/validate.
 func (t *Transactions) RemoveRecord(i int) *Transactions {
-	if i < 0 || i >= len(t.records) {
-		panic(fmt.Sprintf("dataset: record index %d out of range [0,%d)", i, len(t.records)))
+	if i < 0 || i >= t.records {
+		panic(fmt.Sprintf("dataset: record index %d out of range [0,%d)", i, t.records))
 	}
-	records := make([][]int32, 0, len(t.records)-1)
-	records = append(records, t.records[:i]...)
-	records = append(records, t.records[i+1:]...)
-	cp := &Transactions{name: t.name, records: records, items: t.items}
+	records := make([][]int32, 0, t.records)
+	for _, page := range t.pages {
+		records = append(records, page...)
+	}
+	records = append(records[:i], records[i+1:]...)
+	cp := New(t.name, records)
+	cp.items = t.items
 	return cp
 }
 
 // AddRecord returns a copy of the database with one extra transaction.
 // Item ids beyond the current universe grow the universe.
 func (t *Transactions) AddRecord(record []int32) *Transactions {
-	records := make([][]int32, len(t.records), len(t.records)+1)
-	copy(records, t.records)
-	records = append(records, record)
-	items := t.items
-	for _, it := range record {
-		if int(it)+1 > items {
-			items = int(it) + 1
-		}
-	}
-	return &Transactions{name: t.name, records: records, items: items}
+	return t.AppendRecords([][]int32{record})
 }
 
 // AppendRecords returns a database extended with the delta transactions. The
-// existing records are shared as a prefix — only the slice headers are
-// copied, never the transactions themselves — so appending costs O(records)
-// pointer copies plus the delta, with no rescan of the shared prefix. Item
-// ids beyond the current universe grow it; negative ids panic (callers
-// validate deltas before applying them).
+// full pages are shared with t; only the page directory and the partial tail
+// page are copied, the tail because another generation built from t may see
+// it and must never observe this append's writes. Appending therefore costs
+// O(records/PageSize + PageSize + len(delta)), with no rescan of the shared
+// prefix, and never writes into t. The transactions themselves are shared
+// with the caller, not copied. Item ids beyond the current universe grow it;
+// negative ids panic (callers validate deltas before applying them).
 func (t *Transactions) AppendRecords(delta [][]int32) *Transactions {
-	records := make([][]int32, 0, len(t.records)+len(delta))
-	records = append(records, t.records...)
-	records = append(records, delta...)
 	items := t.items
 	for _, r := range delta {
 		for _, it := range r {
@@ -176,26 +204,22 @@ func (t *Transactions) AppendRecords(delta [][]int32) *Transactions {
 			}
 		}
 	}
-	return &Transactions{name: t.name, records: records, items: items}
-}
-
-// DeltaItemCounts returns, for each item id in a universe of the given size,
-// how many of the delta records contain it at least once — exactly the
-// increment ItemCounts gains from appending delta, computed by scanning only
-// the delta. Every item id must lie in [0, items).
-func DeltaItemCounts(delta [][]int32, items int) []float64 {
-	counts := make([]float64, items)
-	seen := make([]int, items)
-	for ri, r := range delta {
-		stamp := ri + 1
-		for _, it := range r {
-			if seen[it] != stamp {
-				seen[it] = stamp
-				counts[it]++
-			}
-		}
+	records := t.records + len(delta)
+	pages := make([][][]int32, (records+PageSize-1)/PageSize)
+	full := t.records / PageSize
+	copy(pages, t.pages[:full])
+	var tail [][]int32
+	if full < len(t.pages) {
+		tail = t.pages[full]
 	}
-	return counts
+	for p := full; p < len(pages); p++ {
+		page := make([][]int32, min(PageSize, records-p*PageSize))
+		n := copy(page, tail)
+		delta = delta[copy(page[n:], delta):]
+		tail = nil
+		pages[p] = page
+	}
+	return &Transactions{name: t.name, pages: pages, records: records, items: items}
 }
 
 // TopKItems returns the indices of the k items with the largest true counts,

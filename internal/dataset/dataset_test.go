@@ -258,3 +258,33 @@ func TestItemCountsPropertyMatchesNaive(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestAppendRecordsNeverWritesSharedStorage(t *testing.T) {
+	// Spare capacity past the caller's records and a partial tail page: an
+	// append that wrote in place would land in either.
+	backing := make([][]int32, PageSize+3, 2*PageSize)
+	for i := range backing {
+		backing[i] = []int32{int32(i % 5)}
+	}
+	db := New("shared", backing)
+	if db.AppendRecords([][]int32{{6}}); backing[:cap(backing)][len(backing)] != nil {
+		t.Error("append wrote into the caller's spare capacity")
+	}
+	// Two appends to one appended generation, whose tail page was built by
+	// an append.
+	base := db.AppendRecords([][]int32{{5}})
+	a := base.AppendRecords([][]int32{{7}, {8}})
+	b := base.AppendRecords([][]int32{{9}})
+	if base.NumRecords() != PageSize+4 || a.NumRecords() != PageSize+6 || b.NumRecords() != PageSize+5 {
+		t.Fatalf("records = %d/%d/%d", base.NumRecords(), a.NumRecords(), b.NumRecords())
+	}
+	if got := a.Record(PageSize + 4)[0]; got != 7 {
+		t.Errorf("a's first appended record holds %d, want 7 (b overwrote it)", got)
+	}
+	if got := b.Record(PageSize + 4)[0]; got != 9 {
+		t.Errorf("b's appended record holds %d, want 9", got)
+	}
+	if base.NumItems() != 6 || a.NumItems() != 9 || b.NumItems() != 10 {
+		t.Errorf("items = %d/%d/%d, want 6/9/10", base.NumItems(), a.NumItems(), b.NumItems())
+	}
+}

@@ -16,6 +16,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/freegap/freegap/internal/dataset"
 	"github.com/freegap/freegap/internal/engine"
 	"github.com/freegap/freegap/internal/store"
 )
@@ -477,7 +478,7 @@ func (c *evalCtx) noteWorkers(w int) {
 // partial vector with private dedup stamps, then folds the partials into out
 // in shard order. Returns false when no process-wide scan token could be
 // claimed — the caller falls back to the serial loop.
-func (c *evalCtx) parallelScan(db recordSource, ranges []blockRange, surviving, workers int, n *node, out []float64) bool {
+func (c *evalCtx) parallelScan(db *dataset.Transactions, ranges []blockRange, surviving, workers int, n *node, out []float64) bool {
 	// Claim tokens for the extra goroutines; the fan-out shrinks rather than
 	// waits when other scans hold the budget.
 	extra := 0
@@ -549,7 +550,7 @@ claim:
 
 // scanShard scans one worker's run of block ranges into a private vector
 // with private dedup state.
-func scanShard(db recordSource, shard []blockRange, n *node, universe int) ([]float64, int) {
+func scanShard(db *dataset.Transactions, shard []blockRange, n *node, universe int) ([]float64, int) {
 	out := make([]float64, universe)
 	stamps := make([]int32, universe)
 	var stamp int32
@@ -563,7 +564,7 @@ func scanShard(db recordSource, shard []blockRange, n *node, universe int) ([]fl
 
 // scanRange scans records [lo, hi) with the resolution-shared dedup stamps
 // (the serial path).
-func (c *evalCtx) scanRange(db recordSource, lo, hi int, n *node, out []float64) {
+func (c *evalCtx) scanRange(db *dataset.Transactions, lo, hi int, n *node, out []float64) {
 	c.stats.RecordsScanned += hi - lo
 	if len(c.stamps) < len(out) {
 		c.stamps = make([]int32, len(out))
@@ -575,30 +576,27 @@ func (c *evalCtx) scanRange(db recordSource, lo, hi int, n *node, out []float64)
 // the count of every distinct item it contains (the same per-record dedup
 // the registration count uses, via a stamp array). It returns the advanced
 // stamp generation for the caller to carry into its next range.
-func scanRecords(db recordSource, lo, hi int, n *node, stamps []int32, stamp int32, out []float64) int32 {
-	for r := lo; r < hi; r++ {
-		rec := db.Record(r)
-		if len(rec) < n.minLen || (n.maxLen > 0 && len(rec) > n.maxLen) {
-			continue
-		}
-		if !containsAll(rec, n.contains) {
-			continue
-		}
-		stamp++
-		for _, it := range rec {
-			if stamps[it] != stamp {
-				stamps[it] = stamp
-				out[it]++
+func scanRecords(db *dataset.Transactions, lo, hi int, n *node, stamps []int32, stamp int32, out []float64) int32 {
+	for lo < hi {
+		span := db.Span(lo, hi)
+		lo += len(span)
+		for _, rec := range span {
+			if len(rec) < n.minLen || (n.maxLen > 0 && len(rec) > n.maxLen) {
+				continue
+			}
+			if !containsAll(rec, n.contains) {
+				continue
+			}
+			stamp++
+			for _, it := range rec {
+				if stamps[it] != stamp {
+					stamps[it] = stamp
+					out[it]++
+				}
 			}
 		}
 	}
 	return stamp
-}
-
-// recordSource is the slice of the Transactions API the scanner needs.
-type recordSource interface {
-	Record(i int) []int32
-	NumRecords() int
 }
 
 // containsAll reports whether rec holds every item in want (both may be

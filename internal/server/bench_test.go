@@ -399,10 +399,10 @@ func BenchmarkDatasetAppend(b *testing.B) {
 // write domains throughput must rise with cores. CI's -cpu=1,2,4 scaling
 // matrix runs this row (deliberately named so the 15% single-setting guard
 // on BenchmarkDatasetAppend does not also average these numbers in). The
-// base datasets are kept small: an append installs a copied generation, so
-// a large resident set would make the benchmark measure allocator/GC
-// bandwidth (BenchmarkDatasetAppend already covers that cost) instead of
-// the write-path coordination this row exists to watch.
+// base datasets are kept small so that each append's own work — the tail
+// page copy, the count-column copy and the sketch extension, which
+// BenchmarkDatasetAppend already covers — stays small next to the
+// write-path coordination this row exists to watch.
 func BenchmarkParallelAppendDistinctDatasets(b *testing.B) {
 	const numDatasets = 8
 	recs := make([][]int32, 256)

@@ -96,7 +96,10 @@ func TestParallelStressAcrossDatasetsWithCrashRecovery(t *testing.T) {
 	monIDs := make([]string, numDatasets)
 	for i := range names {
 		names[i] = fmt.Sprintf("stress%d", i)
-		upload := DatasetUploadRequest{Name: names[i], FIMI: fimiRepeat(fmt.Sprintf("%d 1", i), baseRecords)}
+		// Item 3 in every record gives each dataset a universe of at least
+		// 4 items before any append lands, so the k=3 queries below are
+		// valid however the goroutines interleave.
+		upload := DatasetUploadRequest{Name: names[i], FIMI: fimiRepeat(fmt.Sprintf("%d 1 3", i), baseRecords)}
 		if resp, data := postJSON(t, ts.URL+"/v1/datasets", upload); resp.StatusCode != http.StatusCreated {
 			t.Fatalf("upload %s: %d %s", names[i], resp.StatusCode, data)
 		}

@@ -434,17 +434,19 @@ func (s *Server) serveDatasetAppend(w *traceWriter, r *http.Request) string {
 	}
 	d.seqs[name] = seq
 	verdicts := d.deliverLocked(s, e)
+	// The generation this request installed, not whatever is current once
+	// the lock drops: a later append may install before the reply is built.
+	installed := p.Stats()
 	d.mu.Unlock()
 	w.mark(stageExecute)
 
 	s.appendsTotal.Inc()
-	info := e.Info()
 	writeJSON(w, http.StatusOK, DatasetAppendResponse{
 		Dataset:         name,
 		AppendedRecords: len(delta),
 		Seq:             seq,
-		Records:         info.Records,
-		Items:           info.Items,
+		Records:         installed.Records,
+		Items:           installed.Items,
 		MonitorVerdicts: verdicts,
 	})
 	return "ok"

@@ -2,12 +2,16 @@ package server
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -374,6 +378,68 @@ func TestTenantGaugeEviction(t *testing.T) {
 	s.scrapeMu.Unlock()
 	if n != 1 {
 		t.Errorf("tenant gauge map holds %d entries after eviction, want 1", n)
+	}
+}
+
+// TestConcurrentAppendRepliesDescribeTheirOwnGeneration appends to one
+// dataset from several goroutines at once. Each reply's records and items
+// must describe the generation its own append installed: the initial records
+// plus every append with a seq up to its own, never a later generation that
+// installed before the reply was built.
+func TestConcurrentAppendRepliesDescribeTheirOwnGeneration(t *testing.T) {
+	const initial, writers, appends = 100, 8, 40
+	s, _ := newTestServer(t, Config{TenantBudget: 1})
+	e, err := s.RegisterDataset("one", "test", bigTestDataset(initial))
+	if err != nil {
+		t.Fatal(err)
+	}
+	initialItems := e.Info().Items
+	type sent struct {
+		reply DatasetAppendResponse
+		item  int // the one item id every appended record holds
+	}
+	h := s.Handler()
+	out := make(chan sent, writers*appends)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < appends; i++ {
+				item := initialItems + w*appends + i // every append grows the universe
+				body, _ := json.Marshal(DatasetAppendRequest{FIMI: fimiRepeat(strconv.Itoa(item), w+1)})
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/datasets/one/append", bytes.NewReader(body)))
+				var r DatasetAppendResponse
+				if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &r) != nil {
+					t.Errorf("append: %d %s", rec.Code, rec.Body.String())
+					return
+				}
+				out <- sent{reply: r, item: item}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(out)
+	var all []sent
+	for x := range out {
+		all = append(all, x)
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].reply.Seq < all[j].reply.Seq })
+	records, items := initial, initialItems
+	for i, x := range all {
+		r := x.reply
+		if r.Seq != uint64(i+1) {
+			t.Fatalf("seqs are not contiguous: reply %d has seq %d", i, r.Seq)
+		}
+		records += r.AppendedRecords
+		items = max(items, x.item+1)
+		if r.Records != records || r.Items != items {
+			t.Errorf("seq %d: reply says %d records / %d items, want %d / %d", r.Seq, r.Records, r.Items, records, items)
+		}
+	}
+	if len(all) != writers*appends {
+		t.Errorf("%d appends succeeded, want %d", len(all), writers*appends)
 	}
 }
 

@@ -3,9 +3,11 @@ package store
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -258,5 +260,164 @@ func TestAppendConcurrentWithReaders(t *testing.T) {
 	wg.Wait()
 	if got, want := e.Info().Records, 4+400; got != want {
 		t.Errorf("Records = %d, want %d", got, want)
+	}
+}
+
+// TestPagedAppendMatchesFromScratch grows a dataset by appends that land on
+// and across page boundaries and checks every generation against a
+// from-scratch build over the concatenated records: the records themselves,
+// the stats, the counts, the zone sketches and every arena summary.
+func TestPagedAppendMatchesFromScratch(t *testing.T) {
+	src := rand.New(rand.NewPCG(1, 2))
+	record := func() []int32 {
+		r := make([]int32, src.IntN(8)) // empty records included
+		for j := range r {
+			r[j] = int32(src.IntN(300)) // repeats within a record included
+		}
+		if src.IntN(50) == 0 {
+			r = append(r, int32(300+src.IntN(200))) // grows the universe
+		}
+		return r
+	}
+	records := func(n int) [][]int32 {
+		out := make([][]int32, n)
+		for i := range out {
+			out[i] = record()
+		}
+		return out
+	}
+
+	all := records(1)
+	s := New()
+	e, err := s.Register("grow", "test", dataset.New("grow", append([][]int32(nil), all...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := []int{0, 1, 2047, 2048, 2049, 0, 1}
+	for i := 0; i < 8; i++ {
+		sizes = append(sizes, src.IntN(3*dataset.PageSize))
+	}
+	grow := func(delta [][]int32) {
+		all = append(all, delta...)
+		if _, err := s.Append("grow", delta); err != nil {
+			t.Fatalf("append %d records: %v", len(delta), err)
+		}
+		checkGeneration(t, fmt.Sprintf("after %d records", len(all)), e.View(), all)
+	}
+	for _, n := range sizes {
+		grow(records(n))
+	}
+	// One record holding every present item raises every non-zero count,
+	// the min-holders' included, so the min must rise with them.
+	var every []int32
+	for it, c := range e.ResolveAll() {
+		if c != 0 {
+			every = append(every, int32(it))
+		}
+	}
+	grow([][]int32{every})
+	if got := e.CountScans(); got != 1 {
+		t.Errorf("CountScans = %d, want 1", got)
+	}
+
+	// Two appends prepared against one base with a partial tail page: each
+	// fills its own copy of the tail, so installing one leaves the other and
+	// the base generation as they were.
+	if len(all)%dataset.PageSize == 0 {
+		t.Fatal("base ends on a page boundary; the tail case needs a partial page")
+	}
+	base := e.View()
+	deltaA, deltaB := records(100), records(100)
+	pa, err := s.PrepareAppend("grow", deltaA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb, err := s.PrepareAppend("grow", deltaB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.InstallAppend(pa); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.InstallAppend(pb); !errors.Is(err, ErrStaleAppend) {
+		t.Fatalf("second install from the same base: err = %v, want ErrStaleAppend", err)
+	}
+	checkGeneration(t, "base after both prepares", base, all)
+	checkGeneration(t, "installed append", e.View(), append(append([][]int32(nil), all...), deltaA...))
+	checkGeneration(t, "dropped append", View{db: pb.next.db, arena: pb.next.arena}, append(append([][]int32(nil), all...), deltaB...))
+}
+
+// checkGeneration compares v with a from-scratch registration of records.
+func checkGeneration(t *testing.T, what string, v View, records [][]int32) {
+	t.Helper()
+	want := dataset.New("grow", records)
+	scratch, err := New().Register("grow", "test", want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wa, ga, db := scratch.Arena(), v.Arena(), v.Dataset()
+	if db.NumRecords() != want.NumRecords() || db.NumItems() != want.NumItems() || db.TotalLength() != want.TotalLength() {
+		t.Fatalf("%s: records/items/length = %d/%d/%d, want %d/%d/%d", what,
+			db.NumRecords(), db.NumItems(), db.TotalLength(), want.NumRecords(), want.NumItems(), want.TotalLength())
+	}
+	for i := range records {
+		if !slices.Equal(db.Record(i), records[i]) {
+			t.Fatalf("%s: Record(%d) = %v, want %v", what, i, db.Record(i), records[i])
+		}
+	}
+	if !reflect.DeepEqual(db.ItemCounts(), want.ItemCounts()) {
+		t.Errorf("%s: ItemCounts diverged", what)
+	}
+	if !reflect.DeepEqual(ga.counts, wa.counts) || !reflect.DeepEqual(ga.present, wa.present) {
+		t.Errorf("%s: arena counts or presence bitset diverged", what)
+	}
+	if ga.min != wa.min || ga.max != wa.max || ga.nonzero != wa.nonzero {
+		t.Errorf("%s: min/max/nonzero = %v/%v/%d, want %v/%v/%d", what, ga.min, ga.max, ga.nonzero, wa.min, wa.max, wa.nonzero)
+	}
+	if !reflect.DeepEqual(ga.zones, wa.zones) {
+		t.Errorf("%s: zone sketches diverged", what)
+	}
+}
+
+// TestPrepareAppendBytesIndependentOfResidentRecords pins the claim that an
+// append costs O(delta + items), not O(records): the heap bytes one
+// PrepareAppend allocates for the same 16-record delta may grow by at most
+// 25% from a 64k-record to a 1M-record dataset over the same item universe.
+// The remaining growth is the page directory and the zone sketches, both
+// O(records/PageSize).
+func TestPrepareAppendBytesIndependentOfResidentRecords(t *testing.T) {
+	const items = 41_270 // a kosarak-sized universe
+	// Records share a few backing slices; only the record list is large.
+	pool := make([][]int32, 256)
+	for i := range pool {
+		pool[i] = []int32{int32(i), int32(i * 7 % items), int32(items - 1 - i)}
+	}
+	delta := make([][]int32, 16)
+	for i := range delta {
+		delta[i] = []int32{int32(i), int32(i * 131 % items)}
+	}
+	bytesPerAppend := func(records int) int64 {
+		recs := make([][]int32, records)
+		for i := range recs {
+			recs[i] = pool[i%len(pool)]
+		}
+		s := New()
+		if _, err := s.Register("d", "test", dataset.New("d", recs)); err != nil {
+			t.Fatal(err)
+		}
+		r := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := s.PrepareAppend("d", delta); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		return r.AllocedBytesPerOp()
+	}
+	small, large := bytesPerAppend(1<<16), bytesPerAppend(1<<20)
+	t.Logf("PrepareAppend: %d B at 64k records, %d B at 1M records", small, large)
+	if float64(large) > 1.25*float64(small) {
+		t.Errorf("PrepareAppend allocates %d B at 1M records vs %d B at 64k: append cost grows with the resident records", large, small)
 	}
 }

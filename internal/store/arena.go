@@ -47,6 +47,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"unsafe"
 )
 
@@ -89,24 +90,65 @@ func newArena(counts []float64) *Arena {
 	return a
 }
 
-// extendArena builds the arena of an appended dataset generation: the old
-// counts column plus the delta contributions, with the presence bitset and
-// min/max/nonzero sketches rebuilt in one O(items) vector pass. The
-// transactions are never rescanned — deltaCounts (sized to the new item
-// universe) carries everything the append changed. The caller attaches the
-// extended zone sketches.
-func extendArena(old *Arena, deltaCounts []float64) *Arena {
+// extendArena builds the arena of an appended dataset generation from the
+// old arena and the appended records, in one pass over the delta. The counts
+// column and the presence bitset are copied once (readers and the mechanisms
+// need one flat column, so this memcpy is the only O(items) work); counts,
+// presence bits, max and nonzero then change only for the items the delta
+// touches. The min needs a full pass only when a touched item held the old
+// min, since only then can the min rise. The transactions are never
+// rescanned. items is the appended generation's universe; the caller attaches
+// the extended zone sketches.
+func extendArena(old *Arena, delta [][]int32, items int) *Arena {
 	// The persisted-arena path names the dataset, not the generation: it must
 	// survive appends so a later Remove still unlinks the right file.
-	a := &Arena{path: old.path}
-	a.counts, a.present = arenaAlloc(len(deltaCounts))
+	a := &Arena{path: old.path, min: old.min, max: old.max, nonzero: old.nonzero}
+	a.counts, a.present = arenaAlloc(items)
 	copy(a.counts, old.counts)
-	for i, d := range deltaCounts {
-		if d != 0 {
-			a.counts[i] += d
+	copy(a.present, old.present)
+	minRises := false
+	var distinct []int32
+	for _, r := range delta {
+		// A record counts once per distinct item it holds.
+		distinct = append(distinct[:0], r...)
+		slices.Sort(distinct)
+		for i, it := range distinct {
+			if i > 0 && it == distinct[i-1] {
+				continue
+			}
+			if int(it) < len(old.counts) && old.counts[it] != 0 && old.counts[it] == old.min {
+				minRises = true
+			}
+			c := a.counts[it]
+			if c == 0 {
+				a.present[it/64] |= 1 << (it % 64)
+				a.nonzero++
+			}
+			c++
+			a.counts[it] = c
+			if c > a.max {
+				a.max = c
+			}
 		}
 	}
-	a.buildSketch()
+	if minRises {
+		a.min = 0
+		for _, c := range a.counts {
+			if c != 0 && (a.min == 0 || c < a.min) {
+				a.min = c
+			}
+		}
+		return a
+	}
+	// Every untouched item keeps its count, so the old min still holds one
+	// and only the touched items can undercut it.
+	for _, r := range delta {
+		for _, it := range r {
+			if c := a.counts[it]; a.min == 0 || c < a.min {
+				a.min = c
+			}
+		}
+	}
 	return a
 }
 

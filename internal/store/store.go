@@ -5,13 +5,16 @@
 // its item-count vector exactly once; every resolved request afterwards is
 // served from that cached read-only slice, so the hot path never rescans the
 // transactions. Appending a delta builds the next immutable data generation
-// from the previous one — count vector, presence bitset, min/max and zone
-// sketches are all delta-maintained by scanning only the new records — and
-// installs it with one atomic pointer swap, so readers always see a
-// consistent dataset and the zero-per-request-rescan property survives
-// streaming ingestion. This is the curator trust model of the paper: the
-// server holds the data and answers sensitivity-1 counting queries under DP,
-// instead of clients shipping precomputed answers with every request.
+// from the previous one in O(delta + items): the record list shares every
+// full page with the previous generation, the count column and presence
+// bitset are copied once and updated only where the delta touches them, and
+// min/max and zone sketches are extended by scanning only the new records.
+// The generation is installed with one atomic pointer swap, so readers
+// always see a consistent dataset and the zero-per-request-rescan property
+// survives streaming ingestion. This is the curator trust model of the
+// paper: the server holds the data and answers sensitivity-1 counting
+// queries under DP, instead of clients shipping precomputed answers with
+// every request.
 package store
 
 import (
@@ -417,6 +420,10 @@ type PendingAppend struct {
 // Entry returns the entry the pending append extends.
 func (p *PendingAppend) Entry() *Entry { return p.entry }
 
+// Stats summarises the generation the pending append builds — the one
+// InstallAppend publishes — however many appends install after it.
+func (p *PendingAppend) Stats() dataset.Stats { return p.next.stats }
+
 // Stale reports whether another append superseded the generation this one
 // was prepared against; InstallAppend would fail with ErrStaleAppend.
 func (p *PendingAppend) Stale() bool { return p.entry.gen.Load() != p.base }
@@ -438,7 +445,7 @@ func (s *Store) PrepareAppend(name string, delta [][]int32) (*PendingAppend, err
 		return nil, err
 	}
 	db := g.db.AppendRecords(delta)
-	arena := extendArena(g.arena, dataset.DeltaItemCounts(delta, items))
+	arena := extendArena(g.arena, delta, items)
 	arena.zones = ExtendZones(g.arena.Zones(), db, g.db.NumRecords())
 	lenSum := g.lenSum
 	for _, r := range delta {

@@ -22,8 +22,8 @@ import "github.com/freegap/freegap/internal/dataset"
 
 const (
 	// DefaultZoneBlock is the number of consecutive records summarised by
-	// one zone sketch.
-	DefaultZoneBlock = 2048
+	// one zone sketch: one record page, so a block scan reads one page.
+	DefaultZoneBlock = dataset.PageSize
 	// zoneBloomWords is the bloom filter width per block, in 64-bit words.
 	zoneBloomWords = 8
 	zoneBloomBits  = zoneBloomWords * 64
@@ -61,18 +61,21 @@ func BuildZones(db *dataset.Transactions, block int) *Zones {
 		lo, hi := z.BlockRange(b)
 		minLen, maxLen := ^uint32(0), uint32(0)
 		words := z.bloom[b*zoneBloomWords : (b+1)*zoneBloomWords]
-		for r := lo; r < hi; r++ {
-			rec := db.Record(r)
-			if n := uint32(len(rec)); n < minLen {
-				minLen = n
-			}
-			if n := uint32(len(rec)); n > maxLen {
-				maxLen = n
-			}
-			for _, item := range rec {
-				w1, m1, w2, m2 := zoneProbes(item)
-				words[w1] |= m1
-				words[w2] |= m2
+		for r := lo; r < hi; {
+			span := db.Span(r, hi)
+			r += len(span)
+			for _, rec := range span {
+				if n := uint32(len(rec)); n < minLen {
+					minLen = n
+				}
+				if n := uint32(len(rec)); n > maxLen {
+					maxLen = n
+				}
+				for _, item := range rec {
+					w1, m1, w2, m2 := zoneProbes(item)
+					words[w1] |= m1
+					words[w2] |= m2
+				}
 			}
 		}
 		z.minLen[b], z.maxLen[b] = minLen, maxLen
