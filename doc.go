@@ -129,8 +129,13 @@
 // materialized count vector without touching the transactions. Cache misses
 // evaluate vectorized passes in greedy cheapest-first order; filter scans
 // skip record blocks via the zone sketches (per-block length range + item
-// Bloom filter) built at registration and persisted in the arena. Appending
-// ?explain=1 to a mechanism endpoint returns the compiled plan, uncharged.
+// Bloom filter) built at registration and persisted in the arena. Appends
+// keep the cache: each cached vector is stamped with the record count of
+// every dataset its plan read, and a stale one is brought up to date on its
+// next read by scanning only the appended records for each filter leaf and
+// re-folding the composites above them. Appending ?explain=1 to a mechanism
+// endpoint returns the compiled plan, uncharged; on an extended plan it
+// reports extended_from_records.
 // Specs in the monotone fragment (all_items, item_count, filter, union,
 // intersect) keep the halved noise scale; threshold, minus and join are
 // served at the standard scale, and their threshold/mask decisions can flip
@@ -263,10 +268,12 @@
 // updated, along with the min/max sketches and the zone sketches. The append
 // cost is therefore independent of how many records are already resident
 // (TestPrepareAppendBytesIndependentOfResidentRecords pins it) and the
-// dataset's count_scans counter stays at 1. Admitted appends are
-// journalled before they are applied; recovery replays the registration
-// image and then each delta in order. Ordering is per dataset: each
-// dataset's appends serialize on its write domain and carry a 1-based
+// dataset's count_scans counter does not move. The next read of a cached
+// composite extends its vectors over the delta alone (see Queries), so a
+// read after an append costs O(delta + items), not a rescan. Admitted
+// appends are journalled before they are applied; recovery replays the
+// registration image and then each delta in order. Ordering is per dataset:
+// each dataset's appends serialize on its write domain and carry a 1-based
 // per-dataset sequence number (the append response's seq field, verified
 // contiguous on replay), while appends to different datasets run
 // concurrently.

@@ -9,6 +9,14 @@ package plan
 // the tree into a DAG. Returned child vectors are never mutated: every
 // operator folds into its own freshly allocated output, so a leaf can hand
 // out the arena's shared column safely.
+//
+// Cached plans survive appends. Each cached vector is stamped with the
+// record count of every dataset its plan read; a lookup whose stamps match
+// is served verbatim, and a stale one is brought up to date on the read
+// path: each filter leaf's cached vector is extended by scanning only the
+// records appended since its stamp, and the composites above it re-fold
+// from the extended leaves, which scans nothing. A full scan is the same
+// extension, started from an empty vector at record 0.
 
 import (
 	"fmt"
@@ -71,8 +79,12 @@ type Result struct {
 	// Monotonic reports whether the spec lies in the monotone fragment of
 	// the algebra (see engine.QuerySpec.Monotone).
 	Monotonic bool
-	// CacheHit reports whether the vector came from the compiled-plan cache.
+	// CacheHit reports whether the vector came from the compiled-plan cache
+	// verbatim: the cached entry described the current data generation.
 	CacheHit bool
+	// Extended reports whether a stale cached vector was brought up to date
+	// by scanning only the appended records (neither a hit nor a miss).
+	Extended bool
 	// Stats is the scan work performed (zero on a cache hit).
 	Stats Stats
 	// Explain describes the compiled plan.
@@ -97,9 +109,13 @@ type Explain struct {
 	BlocksSkipped  int    `json:"blocks_skipped"`
 	// ParallelWorkers is the widest block-parallel fan-out any filter scan
 	// of the plan ran with (1 = serial, 0 = nothing scanned).
-	ParallelWorkers int          `json:"parallel_workers"`
-	CompileMicros   float64      `json:"compile_us"`
-	Plan            *NodeExplain `json:"plan"`
+	ParallelWorkers int `json:"parallel_workers"`
+	// ExtendedFromRecords is set when a stale cached vector was extended:
+	// the root dataset's record count at the cached stamp. RecordsScanned
+	// then counts only records appended since.
+	ExtendedFromRecords int          `json:"extended_from_records,omitempty"`
+	CompileMicros       float64      `json:"compile_us"`
+	Plan                *NodeExplain `json:"plan"`
 }
 
 // NodeExplain is one plan node in the explain tree.
@@ -120,17 +136,21 @@ type NodeExplain struct {
 }
 
 // Resolve compiles spec against e and materializes its count vector: a
-// cache hit returns the stored vector untouched (count_scans unchanged), a
-// miss evaluates the plan and fills the cache. cat serves cross-dataset
-// joins and may be nil for join-free specs. The spec must already have
-// passed engine validation.
+// cache hit whose stamps match the current data returns the stored vector
+// untouched (count_scans unchanged), a stale hit extends it over the
+// appended records, and a miss evaluates the plan; both fill the cache. cat
+// serves cross-dataset joins and may be nil for join-free specs. The spec
+// must already have passed engine validation.
 func Resolve(cat Catalog, e *store.Entry, spec *engine.QuerySpec, opts Options) (*Result, error) {
 	start := time.Now()
 	n := normalize(spec)
 	compile := time.Since(start)
 
+	var prior *store.PlanEntry
 	if !opts.NoCache {
-		if pe, ok := e.Plans().Get(n.canon); ok {
+		pe, fresh := e.Plans().Lookup(n.canon, func(pe *store.PlanEntry) bool { return current(cat, e, pe) })
+		prior = pe
+		if fresh {
 			e.NoteResolution()
 			ex := &Explain{Cached: true, CompileMicros: micros(compile)}
 			if stored, ok := pe.Explain.(*Explain); ok && stored != nil {
@@ -144,7 +164,7 @@ func Resolve(cat Catalog, e *store.Entry, spec *engine.QuerySpec, opts Options) 
 		}
 	}
 
-	ctx := &evalCtx{cat: cat, opts: opts, memo: make(map[string][]float64)}
+	ctx := &evalCtx{cat: cat, opts: opts, memo: make(map[string][]float64), prior: prior}
 	answers, err := ctx.eval(e, n)
 	if err != nil {
 		return nil, err
@@ -167,13 +187,40 @@ func Resolve(cat Catalog, e *store.Entry, spec *engine.QuerySpec, opts Options) 
 		CompileMicros:   micros(compile),
 		Plan:            explainNode(n),
 	}
+	if prior != nil {
+		ex.ExtendedFromRecords, _ = prior.Records(e)
+	}
 	if !opts.NoCache {
-		e.Plans().Put(n.canon, &store.PlanEntry{Answers: answers, Monotonic: n.mono, Explain: ex})
+		e.Plans().Put(n.canon, &store.PlanEntry{
+			Answers: answers, Monotonic: n.mono, Explain: ex,
+			Stamps: ctx.planStamps(), Leaves: ctx.leaves,
+		})
 	}
 	return &Result{
-		Answers: answers, Monotonic: n.mono,
+		Answers: answers, Monotonic: n.mono, Extended: prior != nil,
 		Stats: ctx.stats, Explain: ex, Compile: compile,
 	}, nil
+}
+
+// current reports whether pe describes the data e and its join targets hold
+// now: every stamped dataset is still the one catalogued under its name and
+// still has the stamped record count. Records are append-only, so this is
+// one integer compare per dataset.
+func current(cat Catalog, e *store.Entry, pe *store.PlanEntry) bool {
+	for _, s := range pe.Stamps {
+		if s.Entry != e {
+			if cat == nil {
+				return false
+			}
+			if got, err := cat.Get(s.Entry.Name()); err != nil || got != s.Entry {
+				return false
+			}
+		}
+		if s.Entry.Dataset().NumRecords() != s.Records {
+			return false
+		}
+	}
+	return true
 }
 
 func micros(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
@@ -196,8 +243,14 @@ type evalCtx struct {
 	memo map[string][]float64
 	// views pins one data generation per entry for the whole resolution, so
 	// a concurrent append cannot make two reads of the same dataset disagree
-	// (or pair a new dataset with an old arena) mid-plan.
+	// (or pair a new dataset with an old arena) mid-plan. They become the
+	// cached entry's stamps.
 	views map[*store.Entry]store.View
+	// prior is the stale cached entry being brought up to date (nil on a
+	// miss); its filter leaves seed the extending scans.
+	prior *store.PlanEntry
+	// leaves collects the filter-leaf vectors by memo key for the cache.
+	leaves map[string][]float64
 	// stamps backs the per-record distinct-item dedup in filter scans,
 	// reused across filter nodes of one resolution; stamp is the running
 	// generation counter that keeps scans from seeing each other's marks.
@@ -219,13 +272,23 @@ func (c *evalCtx) view(e *store.Entry) store.View {
 	return v
 }
 
+// planStamps returns the record count of every dataset the resolution
+// pinned.
+func (c *evalCtx) planStamps() []store.PlanStamp {
+	out := make([]store.PlanStamp, 0, len(c.views))
+	for e, v := range c.views {
+		out = append(out, store.PlanStamp{Entry: e, Records: v.Dataset().NumRecords()})
+	}
+	return out
+}
+
 // eval returns n's count vector over e's universe, memoized.
 func (c *evalCtx) eval(e *store.Entry, n *node) ([]float64, error) {
 	key := e.Name() + "\x00" + n.canon
 	if v, ok := c.memo[key]; ok {
 		return v, nil
 	}
-	v, err := c.evalNode(e, n)
+	v, err := c.evalNode(e, n, key)
 	if err != nil {
 		return nil, err
 	}
@@ -233,7 +296,28 @@ func (c *evalCtx) eval(e *store.Entry, n *node) ([]float64, error) {
 	return v, nil
 }
 
-func (c *evalCtx) evalNode(e *store.Entry, n *node) ([]float64, error) {
+// priorLeaf returns the stale cached vector of the filter leaf under key and
+// the record count it covers, or (nil, 0) when there is none to extend: a
+// miss, a leaf the cached plan never evaluated (an intersection
+// short-circuit), or a dataset re-registered under the same name since. The
+// covered count never exceeds the view this resolution pins: the entry was
+// cached before this resolution's lookup, which precedes every view it pins.
+func (c *evalCtx) priorLeaf(e *store.Entry, key string) ([]float64, int) {
+	if c.prior == nil {
+		return nil, 0
+	}
+	vec, ok := c.prior.Leaves[key]
+	if !ok {
+		return nil, 0
+	}
+	from, ok := c.prior.Records(e)
+	if !ok {
+		return nil, 0
+	}
+	return vec, from
+}
+
+func (c *evalCtx) evalNode(e *store.Entry, n *node, key string) ([]float64, error) {
 	arena := c.view(e).Arena()
 	universe := len(arena.Counts())
 	switch n.kind {
@@ -257,7 +341,7 @@ func (c *evalCtx) evalNode(e *store.Entry, n *node) ([]float64, error) {
 		return out, nil
 
 	case engine.QueryFilter:
-		return c.filterScan(e, n), nil
+		return c.filterScan(e, n, key), nil
 
 	case engine.QueryThreshold:
 		child, err := c.eval(e, n.children[0])
@@ -384,40 +468,60 @@ var scanTokens = make(chan struct{}, runtime.GOMAXPROCS(0))
 type blockRange struct{ lo, hi int }
 
 // filterScan counts, per item, the records matching the node's predicate —
-// the one algebra operation that touches the transactions. Blocks the zone
-// sketches prove unmatching are skipped wholesale (unless Options.NoSkip);
-// each scan bumps the entry's count_scans and records_skipped observables.
-// Surviving blocks are sharded across a bounded worker fan-out when the
-// remaining work clears Options.MinParallelRecords; each worker scans a
-// disjoint contiguous run of blocks into its own partial vector and the
-// partials merge in shard order. Counts are whole numbers, so the merged
-// vector is byte-identical to the serial pass at any fan-out.
-func (c *evalCtx) filterScan(e *store.Entry, n *node) []float64 {
+// the one algebra operation that touches the transactions. It extends the
+// leaf's stale cached vector when there is one (see priorLeaf): the cached
+// counts are padded to the current universe and only records [from, total)
+// are scanned, since filter counts are sums over records and records are
+// append-only. A full scan is the extension from an empty vector at 0. The
+// result is recorded as the leaf's vector for the plan cache.
+// Blocks the zone sketches prove unmatching are skipped wholesale (unless
+// Options.NoSkip); each scan over a non-empty record range bumps the
+// entry's count_scans — full or delta alike — and its records_skipped
+// observable. Surviving blocks are sharded across a bounded worker fan-out
+// when the remaining work clears Options.MinParallelRecords; each worker
+// scans a disjoint contiguous run of blocks into its own partial vector and
+// the partials merge in shard order. Counts are whole numbers, so the
+// merged vector is byte-identical to the serial pass at any fan-out.
+func (c *evalCtx) filterScan(e *store.Entry, n *node, key string) []float64 {
 	v := c.view(e)
 	db := v.Dataset()
+	total := db.NumRecords()
+	prior, from := c.priorLeaf(e, key)
+	if c.leaves == nil {
+		c.leaves = make(map[string][]float64)
+	}
+	if prior != nil && from == total {
+		c.leaves[key] = prior // nothing appended to this dataset: nothing to scan
+		return prior
+	}
 	out := make([]float64, len(v.Arena().Counts()))
+	copy(out, prior)
+	c.leaves[key] = out
 	c.stats.FilterScans++
 	e.NoteCountScan()
 
 	// Consult the sketches first: the surviving block list is what both the
 	// serial and the parallel path scan. A sketch-less arena (a legacy image)
-	// synthesizes default-sized blocks so it can still shard.
+	// synthesizes default-sized blocks so it can still shard. Blocks are
+	// clipped to [from, total); a sketch summarises its whole block, so one
+	// that proves the block unmatching proves its appended tail unmatching.
 	zones := v.Arena().Zones()
 	var ranges []blockRange
 	surviving, skipped := 0, 0
 	if zones.NumBlocks() == 0 {
-		total := db.NumRecords()
-		for lo := 0; lo < total; lo += store.DefaultZoneBlock {
-			hi := lo + store.DefaultZoneBlock
+		for lo := from; lo < total; {
+			hi := (lo/store.DefaultZoneBlock + 1) * store.DefaultZoneBlock
 			if hi > total {
 				hi = total
 			}
 			ranges = append(ranges, blockRange{lo, hi})
+			lo = hi
 		}
-		surviving = total
+		surviving = total - from
 	} else {
-		for b := 0; b < zones.NumBlocks(); b++ {
+		for b := from / zones.Block(); b < zones.NumBlocks(); b++ {
 			lo, hi := zones.BlockRange(b)
+			lo = max(lo, from)
 			if !c.opts.NoSkip && zones.SkipBlock(b, n.contains, n.minLen, n.maxLen) {
 				c.stats.BlocksSkipped++
 				skipped += hi - lo

@@ -18,8 +18,10 @@
 //     semantically equal specs (union order, duplicate operands, empty
 //     ranges) normalize to one canonical string, which keys the per-dataset
 //     compiled-plan cache — a repeated spec costs one lock-free map lookup,
-//     with the materialized vector reused verbatim (datasets are immutable,
-//     so cached vectors never go stale).
+//     with the materialized vector reused verbatim while its stamps (the
+//     record count of every dataset the plan read) match. After an append
+//     the stale vector is extended over the appended records instead of
+//     recomputed (see Resolve).
 //
 //   - Data skipping: filter nodes consult the arena's zone sketches
 //     (per-block min/max record length + item bloom) and skip whole record

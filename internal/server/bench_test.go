@@ -280,6 +280,10 @@ func BenchmarkServerTopKPersist(b *testing.B) {
 // block matches and skipping can only lose its (tiny) probe cost. "cold"
 // resets the plan cache every iteration so each request compiles and scans;
 // "warm" serves the cached vector — the compiled-plan cache hit path.
+// "after-append" appends 16 matching records to the 65k-record unselective
+// dataset before every read of its cached filter, so each read extends the
+// stale vector over the delta instead of rescanning the dataset; the entry
+// is rebuilt off the clock every few thousand iterations to bound growth.
 func BenchmarkServerFilteredQuery(b *testing.B) {
 	const blocks = 32
 	clustered := make([][]int32, 0, blocks*store.DefaultZoneBlock)
@@ -293,34 +297,20 @@ func BenchmarkServerFilteredQuery(b *testing.B) {
 	for i := range uniform {
 		uniform[i] = []int32{0, int32(1 + i%200)}
 	}
+	delta := uniform[:16]
 
 	selectiveBody := []byte(`{"tenant":"bench","epsilon":0.1,"k":5,"dataset":"blocks","queries":{"kind":"filter","where":{"contains":[200]}}}`)
 	unselectiveBody := []byte(`{"tenant":"bench","epsilon":0.1,"k":5,"dataset":"blocks","queries":{"kind":"filter","where":{"contains":[0]}}}`)
 
-	run := func(b *testing.B, cfg Config, recs [][]int32, body []byte, cold bool) {
+	const (
+		cold = iota
+		warm
+		afterAppend
+	)
+	run := func(b *testing.B, cfg Config, recs [][]int32, body []byte, mode int) {
 		s := mustServer(b, cfg)
-		if _, err := s.RegisterDataset("blocks", "bench:filtered", dataset.New("blocks", recs)); err != nil {
-			b.Fatal(err)
-		}
-		entry, err := s.Datasets().Get("blocks")
-		if err != nil {
-			b.Fatal(err)
-		}
 		h := s.Handler()
-		if !cold { // prime the plan cache once
-			req := httptest.NewRequest(http.MethodPost, "/v1/topk", bytes.NewReader(body))
-			w := httptest.NewRecorder()
-			h.ServeHTTP(w, req)
-			if w.Code != http.StatusOK {
-				b.Fatalf("prime status = %d, body = %s", w.Code, w.Body.String())
-			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if cold {
-				entry.Plans().Reset()
-			}
+		query := func() {
 			req := httptest.NewRequest(http.MethodPost, "/v1/topk", bytes.NewReader(body))
 			w := httptest.NewRecorder()
 			h.ServeHTTP(w, req)
@@ -328,21 +318,55 @@ func BenchmarkServerFilteredQuery(b *testing.B) {
 				b.Fatalf("status = %d, body = %s", w.Code, w.Body.String())
 			}
 		}
+		var entry *store.Entry
+		reads := 0 // extending reads since the last registration
+		register := func() {
+			s.Datasets().Remove("blocks")
+			var err error
+			if entry, err = s.RegisterDataset("blocks", "bench:filtered", dataset.New("blocks", recs)); err != nil {
+				b.Fatal(err)
+			}
+			if mode != cold { // prime the plan cache once
+				query()
+			}
+			reads = 0
+		}
+		register()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			switch mode {
+			case cold:
+				entry.Plans().Reset()
+			case afterAppend:
+				if i%4096 == 4095 {
+					b.StopTimer()
+					register()
+					b.StartTimer()
+				}
+				if _, err := s.Datasets().Append("blocks", delta); err != nil {
+					b.Fatal(err)
+				}
+				reads++
+			}
+			query()
+		}
 		b.StopTimer()
 		b.ReportMetric(float64(entry.RecordsSkipped())/float64(b.N), "recskipped/op")
-		if !cold && entry.CountScans() != 2 {
-			// Registration + the priming request: warm iterations must all
-			// be plan-cache hits.
-			b.Fatalf("CountScans = %d after %d warm requests, want 2", entry.CountScans(), b.N)
+		if mode != cold && entry.CountScans() != uint64(2+reads) {
+			// Registration + the priming request, plus one delta scan per
+			// extending read: warm iterations must all be plan-cache hits.
+			b.Fatalf("CountScans = %d after %d extending reads, want %d", entry.CountScans(), reads, 2+reads)
 		}
 	}
 
 	base := Config{TenantBudget: benchBudget, Seed: 1, Workers: 1}
 	noskip := Config{TenantBudget: benchBudget, Seed: 1, Workers: 1, DisableQuerySkipping: true}
-	b.Run("selective/cold", func(b *testing.B) { run(b, base, clustered, selectiveBody, true) })
-	b.Run("selective/noskip", func(b *testing.B) { run(b, noskip, clustered, selectiveBody, true) })
-	b.Run("selective/warm", func(b *testing.B) { run(b, base, clustered, selectiveBody, false) })
-	b.Run("unselective/cold", func(b *testing.B) { run(b, base, uniform, unselectiveBody, true) })
+	b.Run("selective/cold", func(b *testing.B) { run(b, base, clustered, selectiveBody, cold) })
+	b.Run("selective/noskip", func(b *testing.B) { run(b, noskip, clustered, selectiveBody, cold) })
+	b.Run("selective/warm", func(b *testing.B) { run(b, base, clustered, selectiveBody, warm) })
+	b.Run("unselective/cold", func(b *testing.B) { run(b, base, uniform, unselectiveBody, cold) })
+	b.Run("after-append", func(b *testing.B) { run(b, base, uniform, unselectiveBody, afterAppend) })
 }
 
 // BenchmarkDatasetAppend measures the streaming-ingest path: one small FIMI

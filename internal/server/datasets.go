@@ -74,9 +74,12 @@ func (s *Server) resolvePlan(e *store.Entry, spec *engine.QuerySpec) (*plan.Resu
 		return nil, err
 	}
 	s.hot.planCompile.Observe(res.Compile)
-	if res.CacheHit {
+	switch {
+	case res.CacheHit:
 		s.hot.planHits.Inc()
-	} else {
+	case res.Extended:
+		s.hot.planExtensions.Inc()
+	default:
 		s.hot.planMisses.Inc()
 	}
 	if res.Stats.RecordsSkipped > 0 {

@@ -192,6 +192,55 @@ func TestExplainEndpoint(t *testing.T) {
 	}
 }
 
+// TestExplainAfterAppendExtendsCachedPlan pins the served observables of
+// keeping the plan cache across appends: after an append, ?explain=1 on a
+// cached composite reports the record count it extended from and scans only
+// the delta — once per filter node — and /metrics counts the resolution as
+// an extension, so hits + misses + extensions covers every composite
+// resolution.
+func TestExplainAfterAppendExtendsCachedPlan(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	uploadDescending(t, ts.URL, "sales")
+	explain := func() plan.Explain {
+		t.Helper()
+		resp, data := postJSON(t, ts.URL+"/v1/topk?explain=1", compositeBody("sales"))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("explain status = %d, body = %s", resp.StatusCode, data)
+		}
+		return decodeInto[plan.Explain](t, data)
+	}
+	if ex := explain(); ex.Cached || ex.ExtendedFromRecords != 0 || ex.RecordsScanned != 5 {
+		t.Fatalf("first explain = %+v, want an uncached full scan of 5 records", ex)
+	}
+	resp, data := postJSON(t, ts.URL+"/v1/datasets/sales/append", DatasetAppendRequest{FIMI: "3 4\n3\n1\n"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("append status = %d, body = %s", resp.StatusCode, data)
+	}
+	ex := explain()
+	if ex.Cached || ex.ExtendedFromRecords != 5 || ex.RecordsScanned != 3 || ex.RecordsTotal != 8 {
+		t.Errorf("explain after append: cached=%v extended_from_records=%d records_scanned=%d records_total=%d, want false, 5, 3, 8",
+			ex.Cached, ex.ExtendedFromRecords, ex.RecordsScanned, ex.RecordsTotal)
+	}
+	if ex := explain(); !ex.Cached {
+		t.Error("the extended plan was not cached")
+	}
+	_, data = getJSON(t, ts.URL+"/v1/datasets/sales")
+	if info := decodeInto[DatasetInfo](t, data); info.CountScans != 3 {
+		t.Errorf("count_scans = %d, want 3 (registration, the full scan and the delta scan)", info.CountScans)
+	}
+	m := s.Metrics()
+	hits := m.Counter("freegap_plan_cache_hits_total").Value()
+	misses := m.Counter("freegap_plan_cache_misses_total").Value()
+	extensions := m.Counter("freegap_plan_cache_extensions_total").Value()
+	if hits != 1 || misses != 1 || extensions != 1 {
+		t.Errorf("plan cache hits=%d misses=%d extensions=%d, want 1 each of the 3 resolutions", hits, misses, extensions)
+	}
+	_, data = getJSON(t, ts.URL+"/metrics")
+	if !strings.Contains(string(data), "freegap_plan_cache_extensions_total 1") {
+		t.Error("metrics exposition missing freegap_plan_cache_extensions_total 1")
+	}
+}
+
 // TestCompositeSpecCaps drives the structured 400s: depth and size caps,
 // malformed composites, superfluous fields.
 func TestCompositeSpecCaps(t *testing.T) {

@@ -339,9 +339,11 @@ type hotCounters struct {
 	stages    [numStages]*telemetry.Histogram          // pipeline stage
 
 	// Compiled-plan cache observables, shared across datasets (the
-	// per-dataset split lives in the store entries' Info).
-	planHits   *telemetry.Counter
-	planMisses *telemetry.Counter
+	// per-dataset split lives in the store entries' Info). Every composite
+	// resolution is exactly one of a hit, an extension or a miss.
+	planHits       *telemetry.Counter
+	planMisses     *telemetry.Counter
+	planExtensions *telemetry.Counter
 	// planCompile tracks spec normalize+canonicalize time per composite
 	// resolution (cache hits included — canonicalization is the lookup key).
 	planCompile *telemetry.Histogram
@@ -378,6 +380,7 @@ func newHotCounters(set *telemetry.CounterSet, mechanisms []string) hotCounters 
 	hot.latency[labelTenants] = set.Histogram("freegap_request_seconds", telemetry.L("mechanism", labelTenants))
 	hot.planHits = set.Counter("freegap_plan_cache_hits_total")
 	hot.planMisses = set.Counter("freegap_plan_cache_misses_total")
+	hot.planExtensions = set.Counter("freegap_plan_cache_extensions_total")
 	hot.planCompile = set.Histogram("freegap_plan_compile_seconds")
 	hot.scanWorkers = set.ValueHistogram("freegap_scan_workers")
 	for st := range hot.stages {
@@ -472,6 +475,7 @@ func New(cfg Config) (*Server, error) {
 	s.telemetry.Help("freegap_dataset_resolved_total", "Query resolutions served from a dataset's cached item counts.")
 	s.telemetry.Help("freegap_plan_cache_hits_total", "Composite query resolutions served from a compiled-plan cache.")
 	s.telemetry.Help("freegap_plan_cache_misses_total", "Composite query resolutions that compiled and evaluated a plan.")
+	s.telemetry.Help("freegap_plan_cache_extensions_total", "Composite query resolutions that extended a cached plan over appended records.")
 	s.telemetry.Help("freegap_plan_compile_seconds", "Query-plan normalize+canonicalize time per composite resolution.")
 	s.telemetry.Help("freegap_records_skipped_total", "Records proven unmatching by zone sketches and skipped by filter scans.")
 	s.telemetry.Help("freegap_scan_workers", "Widest block-parallel worker fan-out per filter-bearing query resolution (1 = serial).")

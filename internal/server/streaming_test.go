@@ -445,8 +445,8 @@ func TestConcurrentAppendRepliesDescribeTheirOwnGeneration(t *testing.T) {
 
 // TestStreamingStressInterleaved drives appends, dataset-backed queries and
 // monitor deliveries concurrently; run under -race it checks the RCU
-// generation swap, the plan-cache flush and the verdict fanout against each
-// other.
+// generation swap and the verdict fanout against each other (the plan
+// cache's race with appends is pinned in internal/query/plan).
 func TestStreamingStressInterleaved(t *testing.T) {
 	s, ts := newTestServer(t, Config{TenantBudget: 1e9, Workers: 4})
 	if _, err := s.RegisterDataset("hot", "test", bigTestDataset(4_096)); err != nil {

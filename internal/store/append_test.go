@@ -104,21 +104,48 @@ func TestAppendValidation(t *testing.T) {
 	}
 }
 
-func TestAppendFlushesPlanCache(t *testing.T) {
+// TestAppendNeverServesStalePlan pins the store half of keeping the plan
+// cache across appends: an append leaves cached plans in place, but their
+// stamps no longer match the entry, so a resolver's Lookup reports them
+// stale (to be extended) instead of serving them; and a resolution that
+// pinned the old generation cannot overwrite a newer cached vector.
+func TestAppendNeverServesStalePlan(t *testing.T) {
 	s := New()
 	e, err := s.Register("sales", "test", testDB(t))
 	if err != nil {
 		t.Fatalf("Register: %v", err)
 	}
-	e.Plans().Put("q", &PlanEntry{Answers: []float64{1}})
-	if _, ok := e.Plans().Get("q"); !ok {
-		t.Fatal("plan not cached")
+	current := func(pe *PlanEntry) bool {
+		n, ok := pe.Records(e)
+		return ok && n == e.Dataset().NumRecords()
+	}
+	stamped := func(answer float64) *PlanEntry {
+		return &PlanEntry{Answers: []float64{answer}, Stamps: []PlanStamp{{Entry: e, Records: e.Dataset().NumRecords()}}}
+	}
+	old := stamped(1)
+	e.Plans().Put("q", old)
+	if _, fresh := e.Plans().Lookup("q", current); !fresh {
+		t.Fatal("a plan stamped with the current generation is not served")
 	}
 	if _, err := s.Append("sales", [][]int32{{0}}); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
-	if _, ok := e.Plans().Get("q"); ok {
-		t.Error("append served a stale compiled plan: the cache must be flushed")
+	pe, fresh := e.Plans().Lookup("q", current)
+	if fresh {
+		t.Error("append served a stale compiled plan")
+	}
+	if pe != old {
+		t.Error("append dropped the cached plan instead of leaving it to be extended")
+	}
+	if h, m, x := e.Plans().Hits(), e.Plans().Misses(), e.Plans().Extensions(); h != 1 || m != 0 || x != 1 {
+		t.Errorf("hits=%d misses=%d extensions=%d, want 1, 0, 1", h, m, x)
+	}
+
+	newer := stamped(2)
+	e.Plans().Put("q", newer)
+	e.Plans().Put("q", old) // a resolution that pinned the old generation finishing late
+	if pe, fresh := e.Plans().Lookup("q", current); !fresh || pe != newer {
+		t.Error("an older-stamped Put replaced the current cached vector")
 	}
 }
 

@@ -3,10 +3,13 @@ package store
 // Per-dataset compiled-plan cache. Canonicalized query specs hash to a
 // materialized count vector (plus the plan's explain payload), so a repeated
 // composite query costs one lock-free map lookup instead of a record scan.
-// Cached vectors describe one dataset generation — an append flushes the
-// cache via Reset, so a stale vector is never served; the cache lives on the
-// Entry, so removing and re-registering a name can never serve another
-// dataset's vectors.
+// Appends never flush it: each cached vector is stamped with the record
+// count of every dataset its plan read, and records are append-only, so a
+// matching stamp proves the vector current. A stale entry is brought up to
+// date by the planner — its filter-leaf vectors are extended over the
+// appended records only and the composites re-folded from them. The cache
+// lives on the Entry, so removing and re-registering a name can never serve
+// another dataset's vectors.
 //
 // Reads follow the same RCU discipline as the catalog itself: Get loads the
 // current immutable generation through an atomic pointer and walks it
@@ -32,8 +35,9 @@ const DefaultMaxPlans = 256
 const maxProtectedPlans = DefaultMaxPlans / 2
 
 // PlanEntry is one cached compiled plan: the materialized full-universe
-// count vector, its monotonicity, and the planner's explain payload (opaque
-// to the store) replayed on cache hits.
+// count vector, its monotonicity, the planner's explain payload (opaque to
+// the store) replayed on cache hits, and what the planner needs to bring
+// the vector up to date after an append.
 type PlanEntry struct {
 	// Answers is the materialized count vector (read-only by contract).
 	Answers []float64
@@ -41,10 +45,51 @@ type PlanEntry struct {
 	Monotonic bool
 	// Explain is the planner's explain payload for the compiled plan.
 	Explain any
+	// Stamps is the data generation the vectors describe: one stamp per
+	// dataset the plan read.
+	Stamps []PlanStamp
+	// Leaves holds the plan's filter-leaf count vectors (read-only by
+	// contract), keyed by the planner's "dataset\x00canonical" memo key and
+	// each taken at its dataset's stamp. A filter root's leaf is Answers
+	// itself.
+	Leaves map[string][]float64
 
 	// hot is set by Get on a hit and cleared by the second-chance sweep —
 	// the one bit of bookkeeping that lets eviction keep the working set.
 	hot atomic.Bool
+}
+
+// PlanStamp pins one dataset generation a cached plan read. Records are
+// append-only, so an entry's record count identifies its generation's data.
+type PlanStamp struct {
+	Entry   *Entry
+	Records int
+}
+
+// Records returns the stamped record count of e, reporting false when the
+// plan did not read e.
+func (pe *PlanEntry) Records(e *Entry) (int, bool) {
+	for _, s := range pe.Stamps {
+		if s.Entry == e {
+			return s.Records, true
+		}
+	}
+	return 0, false
+}
+
+// covers reports whether pe describes a generation at least as new as
+// other's on every dataset other read — the same datasets, none older. Put
+// keeps such an entry rather than regress it to other.
+func (pe *PlanEntry) covers(other *PlanEntry) bool {
+	if len(pe.Stamps) != len(other.Stamps) {
+		return false
+	}
+	for _, s := range other.Stamps {
+		if n, ok := pe.Records(s.Entry); !ok || n < s.Records {
+			return false
+		}
+	}
+	return true
 }
 
 // planGen is one immutable generation of the cache's key → plan mapping.
@@ -58,39 +103,62 @@ type PlanCache struct {
 	// gen points at the current immutable generation; nil means empty.
 	gen atomic.Pointer[planGen]
 
-	hits    atomic.Uint64
-	misses  atomic.Uint64
-	flushes atomic.Uint64
+	hits       atomic.Uint64
+	misses     atomic.Uint64
+	extensions atomic.Uint64
+	flushes    atomic.Uint64
 }
 
-// Get returns the cached plan for key, counting the lookup as a hit or a
-// miss. It takes no lock. A hit marks the entry as recently used, so the
-// next capacity sweep keeps it.
+// Get returns the cached plan for key, current or not. It takes no lock and
+// counts nothing. A found entry is marked as recently used, so the next
+// capacity sweep keeps it.
 func (c *PlanCache) Get(key string) (*PlanEntry, bool) {
 	if gen := c.gen.Load(); gen != nil {
 		if pe, ok := (*gen)[key]; ok {
-			c.hits.Add(1)
 			if !pe.hot.Load() {
 				pe.hot.Store(true)
 			}
 			return pe, true
 		}
 	}
-	c.misses.Add(1)
 	return nil, false
 }
 
-// Put caches pe under key. A full cache runs a second-chance sweep first:
-// plans that served a hit since the last sweep survive, capped at
-// maxProtectedPlans, and their hot bits reset so survival must be re-earned.
-// Concurrent puts of the same key are idempotent — both vectors are correct,
-// the later generation wins.
+// Lookup is Get for resolvers. current is the caller's stamp check: whether
+// a cached entry describes the generations the caller would read. Lookup
+// counts a current entry as a hit, a stale one as an extension (the caller
+// brings it up to date) and an absent one as a miss, and reports which: pe
+// is nil on a miss.
+func (c *PlanCache) Lookup(key string, current func(*PlanEntry) bool) (pe *PlanEntry, fresh bool) {
+	pe, ok := c.Get(key)
+	switch {
+	case !ok:
+		c.misses.Add(1)
+		return nil, false
+	case current(pe):
+		c.hits.Add(1)
+		return pe, true
+	default:
+		c.extensions.Add(1)
+		return pe, false
+	}
+}
+
+// Put caches pe under key, unless the cached entry already covers pe's
+// stamps: a resolution that pinned an older generation and finishes after a
+// newer vector was cached never regresses it. A full cache runs a
+// second-chance sweep first: plans that served a hit since the last sweep
+// survive, capped at maxProtectedPlans, and their hot bits reset so
+// survival must be re-earned.
 func (c *PlanCache) Put(key string, pe *PlanEntry) {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 	var cur planGen
 	if gen := c.gen.Load(); gen != nil {
 		cur = *gen
+	}
+	if old, ok := cur[key]; ok && old.covers(pe) {
+		return
 	}
 	if len(cur) >= DefaultMaxPlans {
 		next := make(planGen, maxProtectedPlans+1)
@@ -124,17 +192,18 @@ func (c *PlanCache) Len() int {
 	return 0
 }
 
-// Hits and Misses return the lifetime lookup counters.
-func (c *PlanCache) Hits() uint64   { return c.hits.Load() }
-func (c *PlanCache) Misses() uint64 { return c.misses.Load() }
+// Hits, Misses and Extensions return the lifetime Lookup counters.
+func (c *PlanCache) Hits() uint64       { return c.hits.Load() }
+func (c *PlanCache) Misses() uint64     { return c.misses.Load() }
+func (c *PlanCache) Extensions() uint64 { return c.extensions.Load() }
 
 // Flushes returns how many capacity sweeps the cache has run — the
 // observable behind the plan_cache_flushes_total metric.
 func (c *PlanCache) Flushes() uint64 { return c.flushes.Load() }
 
-// Reset drops every cached plan (the counters keep running). Appends call it
-// — cached vectors describe the previous dataset generation — and benchmarks
-// use it to measure the cache-cold path.
+// Reset drops every cached plan (the counters keep running). Benchmarks use
+// it to measure the cache-cold path; appends do not — stamped entries are
+// extended instead.
 func (c *PlanCache) Reset() {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()

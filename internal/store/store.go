@@ -161,8 +161,9 @@ type Entry struct {
 	skipped     atomic.Uint64 // records proven unmatching by zone sketches and never scanned
 
 	// plans caches compiled composite-query plans and their materialized
-	// count vectors, keyed by canonical spec (see the query planner). An
-	// append resets it: cached vectors describe the superseded generation.
+	// count vectors, keyed by canonical spec (see the query planner). Appends
+	// leave it alone: each vector is stamped with the generation it
+	// describes, and the planner extends a stale one on its next read.
 	plans PlanCache
 }
 
@@ -224,9 +225,11 @@ type Info struct {
 	// Resolutions counts query resolutions served from the cached counts.
 	Resolutions uint64 `json:"resolutions"`
 	// CountScans counts count-vector materialisations: the registration scan
-	// (or validated arena load) plus one per composite filter query that had
-	// to scan records on a plan-cache miss. It stays at 1 however many
-	// requests resolve from the cached counts or the plan cache.
+	// (or validated arena load) plus one per filter node that scanned
+	// records — over every record on a plan-cache miss, or over only the
+	// records appended since the cached vector's stamp when a stale entry is
+	// extended. It stays at 1 however many requests resolve from the cached
+	// counts or a current plan-cache entry, and appends never add to it.
 	CountScans uint64 `json:"count_scans"`
 	// CreatedAt is the registration time.
 	CreatedAt time.Time `json:"created_at"`
@@ -464,11 +467,12 @@ func (s *Store) PrepareAppend(name string, delta [][]int32) (*PendingAppend, err
 }
 
 // InstallAppend publishes a prepared append as the entry's current data
-// generation with one atomic swap, flushing the compiled-plan cache (its
-// vectors describe the superseded generation). It fails with ErrStaleAppend
-// when another append won the race since PrepareAppend — the caller
-// re-prepares against the new generation — and with ErrUnknownDataset when
-// the entry was removed in between.
+// generation with one atomic swap. The compiled-plan cache is left alone:
+// its entries are stamped with the generation they describe, so the planner
+// sees them as stale and extends them on the next read. It fails with
+// ErrStaleAppend when another append won the race since PrepareAppend — the
+// caller re-prepares against the new generation — and with
+// ErrUnknownDataset when the entry was removed in between.
 func (s *Store) InstallAppend(p *PendingAppend) (*Entry, error) {
 	e := p.entry
 	s.writeMu.Lock()
@@ -486,7 +490,6 @@ func (s *Store) InstallAppend(p *PendingAppend) (*Entry, error) {
 		s.retiredN.Store(int32(len(s.retired)))
 	}
 	e.gen.Store(p.next)
-	e.plans.Reset()
 	s.sweepRetiredLocked()
 	return e, nil
 }
@@ -710,12 +713,13 @@ func (e *Entry) NoteResolution() { e.resolutions.Add(1) }
 
 // CountScans returns how many times the entry materialised counts from its
 // records: the registration scan (or validated arena load) plus one per
-// plan-cache-missing composite filter query. Plan-cache hits never add, so
-// the counter pins the cache's effectiveness.
+// filter node that scanned records, fully on a plan-cache miss or over the
+// appended records only when a stale cached vector is extended. Current
+// plan-cache hits never add, so the counter pins the cache's effectiveness.
 func (e *Entry) CountScans() uint64 { return e.scans.Load() }
 
-// NoteCountScan counts one record-scanning count materialisation (a
-// composite filter evaluated on a plan-cache miss).
+// NoteCountScan counts one record-scanning count materialisation (a filter
+// node evaluated on a plan-cache miss, or extended over appended records).
 func (e *Entry) NoteCountScan() { e.scans.Add(1) }
 
 // RecordsSkipped returns how many records the zone sketches let filter
